@@ -18,7 +18,10 @@
 //!   `join()`/`recv()`/blocking I/O) and `lock-order` (acquisitions
 //!   must respect `crates/lint/lock-order.toml`);
 //! * **unsafe audit** — `safety-comment` (every `unsafe` carries a
-//!   `// SAFETY:` comment).
+//!   `// SAFETY:` comment);
+//! * **test isolation** — `shared-temp-path` (no
+//!   `temp_dir().join("<literal>")`: concurrent tests must not share
+//!   a fixture file).
 //!
 //! Suppress a finding inline, reason mandatory:
 //!

@@ -26,6 +26,7 @@ pub const RULE_IDS: &[&str] = &[
     "guard-blocking",
     "lock-order",
     "safety-comment",
+    "shared-temp-path",
     "bad-suppression",
     "unused-suppression",
 ];
@@ -86,6 +87,7 @@ pub fn run_file(rel: &str, src: &str, class: FileClass, locks: &LockOrder) -> Ve
         concurrency(&ctx, locks, &mut raw);
     }
     safety_comment(&ctx, &mut raw);
+    shared_temp_path(&ctx, &mut raw);
     apply_suppressions(rel, &lx, raw)
 }
 
@@ -690,6 +692,70 @@ fn safety_comment(ctx: &Ctx, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------- //
+// test isolation                                                   //
+// ---------------------------------------------------------------- //
+
+/// `shared-temp-path`: bans `temp_dir().join("<literal>")` — a temp
+/// path with no unique component — including through a local alias
+/// (`let dir = std::env::temp_dir(); dir.join("…")`). Tests run
+/// concurrently (parallel threads, parallel test binaries), so a fixed
+/// name lets one writer truncate a fixture another test is reading.
+/// Applies everywhere, tests included: that is where such fixtures
+/// live. Add a unique component (`format!("…_{}", std::process::id())`,
+/// a per-test tag).
+fn shared_temp_path(ctx: &Ctx, out: &mut Vec<Finding>) {
+    let lx = ctx.lx;
+    let is_temp_dir_call =
+        |i: usize| lx.ident(i) == Some("temp_dir") && lx.punct(i + 1, '(') && lx.punct(i + 2, ')');
+    // `let <alias> = [path::]temp_dir();`
+    let mut aliases: Vec<&str> = Vec::new();
+    for i in 0..lx.tokens.len() {
+        if lx.ident(i) != Some("let") || !lx.punct(i + 2, '=') {
+            continue;
+        }
+        let Some(alias) = lx.ident(i + 1) else {
+            continue;
+        };
+        let mut j = i + 3;
+        while lx.ident(j).is_some() && lx.punct(j + 1, ':') && lx.punct(j + 2, ':') {
+            j += 3;
+        }
+        if is_temp_dir_call(j) && lx.punct(j + 3, ';') {
+            aliases.push(alias);
+        }
+    }
+    // `<receiver>.join("<literal>")`
+    for i in 1..lx.tokens.len() {
+        let fixed_join = lx.punct(i, '.')
+            && lx.ident(i + 1) == Some("join")
+            && lx.punct(i + 2, '(')
+            && matches!(lx.tokens.get(i + 3).map(|t| &t.tok), Some(Tok::Str))
+            && lx.punct(i + 4, ')');
+        if !fixed_join {
+            continue;
+        }
+        let receiver = if i >= 3 && is_temp_dir_call(i - 3) {
+            i - 3
+        } else if lx.ident(i - 1).is_some_and(|r| aliases.contains(&r))
+            && !(i >= 2 && lx.punct(i - 2, '.'))
+        {
+            i - 1
+        } else {
+            continue;
+        };
+        out.push(
+            ctx.finding(
+                receiver,
+                "shared-temp-path",
+                "temp dir joined with a fixed name: concurrent tests share the path; \
+             add a unique component (process id, test tag)"
+                    .to_string(),
+            ),
+        );
+    }
+}
+
+// ---------------------------------------------------------------- //
 // suppressions                                                     //
 // ---------------------------------------------------------------- //
 
@@ -1015,6 +1081,24 @@ mod tests {
             rules_of(&lint(unused, FileClass::LIB)),
             vec!["unused-suppression"]
         );
+    }
+
+    #[test]
+    fn fixed_temp_paths_flagged_everywhere() {
+        let bad = "#[cfg(test)] mod t { fn f() { std::env::temp_dir().join(\"x.csv\"); } }";
+        assert_eq!(
+            rules_of(&lint(bad, FileClass::TEST)),
+            vec!["shared-temp-path"]
+        );
+        let aliased = "fn f() { let dir = std::env::temp_dir(); dir.join(\"x.csv\"); }";
+        assert_eq!(
+            rules_of(&lint(aliased, FileClass::TEST)),
+            vec!["shared-temp-path"]
+        );
+        let ok = "fn f(pid: u32) { std::env::temp_dir().join(format!(\"x_{pid}.csv\")); }";
+        assert!(lint(ok, FileClass::TEST).is_empty());
+        let other = "fn f(d: &Path) { let dir = d.to_path_buf(); dir.join(\"x.csv\"); }";
+        assert!(lint(other, FileClass::TEST).is_empty());
     }
 
     #[test]

@@ -1,33 +1,36 @@
-//! Per-connection state machine for the evented transport.
+//! Per-connection state machine driven by the [`crate::reactor`].
 //!
-//! A [`Conn`] owns one non-blocking [`Stream`] and cycles through
-//! three states: **reading** a request line, **executing** it (work
-//! ops run on the executor pool; the reactor holds the connection
-//! until the completion comes back), and **draining** the buffered
-//! response. Every socket call is `WouldBlock`-aware: the reactor
-//! calls [`Conn::step`] each tick and the connection does exactly as
-//! much I/O as the socket will take without blocking.
+//! A [`Conn`] owns one non-blocking stream and cycles through three
+//! states: **reading** a request line, **executing** it (work ops run
+//! on the executor pool; the reactor holds the connection until the
+//! completion comes back), and **draining** the buffered response.
+//! Every socket call is `WouldBlock`-aware: the reactor calls
+//! [`Conn::step`] each tick and the connection does exactly as much
+//! I/O as the socket will take without blocking.
 //!
 //! Memory discipline: a connection never reads ahead while a response
-//! is pending (`executing` or a non-empty write buffer), so each
-//! connection holds at most one buffered response at a time —
-//! mirroring the request/response sequencing of the threads
-//! transport. The honest tradeoff versus that transport: responses
-//! here are fully materialized (the threads path streams line by
-//! line), bounded by `max_inflight` concurrent responses.
+//! is pending (`executing` or a non-empty write buffer), so requests
+//! on one connection are answered strictly in order and each
+//! connection holds at most one buffered response at a time. That
+//! response is fully materialized before the first byte is written,
+//! so response memory is bounded by `max_inflight` concurrent
+//! responses.
 //!
-//! I/O error contract (shared with the threads transport):
+//! I/O error contract:
 //!
 //! * `ErrorKind::Interrupted` (EINTR) is a pure retry everywhere —
 //!   it never counts against the write-stall window and never closes
 //!   a connection;
+//! * a short write is progress: the rest of the buffer is resumed
+//!   from the written offset, never re-sent or dropped;
 //! * a write stall is bounded by *zero-progress* time: only a full
 //!   `write_timeout` window with not one byte accepted closes the
 //!   connection, and the socket is shut down first so the peer sees
 //!   EOF mid-line rather than a torn prefix passing as a complete
 //!   response;
-//! * request lines are capped at [`MAX_REQUEST_BYTES`], exactly as on
-//!   the threads transport.
+//! * at shutdown, complete buffered request lines are still answered
+//!   and a partial line is dropped;
+//! * request lines are capped at [`MAX_REQUEST_BYTES`].
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -38,6 +41,16 @@ use crate::reactor::{Executor, Job};
 use crate::server::{
     claim_admission, respond_admitted, write_line, Shared, Stream, MAX_REQUEST_BYTES,
 };
+
+/// The socket surface a [`Conn`] drives: non-blocking reads and
+/// writes plus a best-effort full shutdown. [`Stream`] is the
+/// production implementation.
+pub(crate) trait ConnStream: Read + Write {
+    /// Best-effort full shutdown: the peer sees EOF on its next read,
+    /// so an abandoned response is a detectably torn line (no
+    /// terminating newline), never a prefix that parses as complete.
+    fn shutdown(&mut self);
+}
 
 /// What one [`Conn::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +84,9 @@ enum Fill {
     Closed,
 }
 
-/// One evented connection.
-pub(crate) struct Conn {
-    stream: Stream,
+/// One connection.
+pub(crate) struct Conn<S = Stream> {
+    stream: S,
     /// Bytes read but not yet consumed as request lines.
     read_buf: Vec<u8>,
     /// The buffered response being drained to the socket.
@@ -95,8 +108,8 @@ pub(crate) struct Conn {
     stall_nanos: u64,
 }
 
-impl Conn {
-    pub(crate) fn new(stream: Stream, write_timeout: Duration) -> Conn {
+impl<S: ConnStream> Conn<S> {
+    pub(crate) fn new(stream: S, write_timeout: Duration) -> Conn<S> {
         Conn {
             stream,
             read_buf: Vec::new(),
@@ -162,9 +175,9 @@ impl Conn {
                 return Step::Closed;
             }
             if shared.shutting_down() {
-                // Drain semantics mirror the threads transport: a
-                // partial line at shutdown is dropped, complete
-                // buffered lines (handled above) are still answered.
+                // Drain: a partial line at shutdown is dropped;
+                // complete buffered lines (handled above) are still
+                // answered.
                 return Step::Closed;
             }
             match self.fill() {
@@ -216,7 +229,7 @@ impl Conn {
 
     /// Takes one complete request line (newline included) out of the
     /// read buffer, or — at EOF — the final unterminated line, which
-    /// is still a request (exactly as on the threads transport).
+    /// is still a request.
     fn take_line(&mut self) -> Option<Vec<u8>> {
         if let Some(i) = self.read_buf.iter().position(|&b| b == b'\n') {
             let rest = self.read_buf.split_off(i + 1);
@@ -228,11 +241,11 @@ impl Conn {
         None
     }
 
-    /// Parses and routes one request line. Parse errors and control
-    /// ops are answered inline on the reactor (they are cheap and
-    /// slot-free, like `stats` on the threads transport); admitted
-    /// work is dispatched to the executor with its [`AdmitSlot`]
-    /// already claimed — overload was shed *before* any queueing.
+    /// Parses and routes one request line. Parse errors, control ops
+    /// and refused work are answered inline on the reactor (they are
+    /// cheap and slot-free); admitted work is dispatched to the
+    /// executor with its [`AdmitSlot`] already claimed — overload was
+    /// shed *before* any queueing.
     ///
     /// [`AdmitSlot`]: crate::server::AdmitSlot
     fn process_line(
@@ -254,8 +267,7 @@ impl Conn {
             Ok(request) => request,
             Err(e) => {
                 shared.count_error(e.code);
-                // Writes into a Vec<u8> cannot fail.
-                let _ = write_line(&mut self.write_buf, &e.to_json());
+                write_line(&mut self.write_buf, &e.to_json());
                 return;
             }
         };
@@ -270,16 +282,14 @@ impl Conn {
                 });
             }
             admission => {
-                let _ =
-                    respond_admitted(&request, admission, shared, &mut self.write_buf, started_at);
+                respond_admitted(&request, admission, shared, &mut self.write_buf, started_at);
             }
         }
     }
 
     /// Reads whatever the socket has, up to a complete line. EINTR
     /// retries; an over-cap line without a newline in sight closes
-    /// the connection (same cap, same silence as the threads
-    /// transport).
+    /// the connection without a reply.
     fn fill(&mut self) -> Fill {
         let mut any = false;
         let mut chunk = [0u8; 16 * 1024];
@@ -310,5 +320,225 @@ impl Conn {
                 Err(_) => return Fill::Closed,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{Bind, ServerConfig};
+    use std::collections::VecDeque;
+    use std::io::ErrorKind;
+    use utk_core::obs::{Clock, TestClock};
+
+    /// A non-blocking stream that plays back scripts: each read pops
+    /// one chunk or error (an empty script is `WouldBlock` — nothing
+    /// readable yet; an empty chunk is EOF), each write pops one
+    /// accepted-byte count or error (an empty script accepts
+    /// everything). Records every accepted byte and every shutdown.
+    #[derive(Default)]
+    struct Scripted {
+        reads: VecDeque<std::io::Result<Vec<u8>>>,
+        writes: VecDeque<std::io::Result<usize>>,
+        accepted: Vec<u8>,
+        shutdowns: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.reads.pop_front() {
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(out.len());
+                    out[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.reads.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+                Some(Err(e)) => Err(e),
+                None => Err(ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = match self.writes.pop_front() {
+                Some(Ok(n)) => n.min(buf.len()),
+                Some(Err(e)) => return Err(e),
+                None => buf.len(),
+            };
+            self.accepted.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl ConnStream for Scripted {
+        fn shutdown(&mut self) {
+            self.shutdowns += 1;
+        }
+    }
+
+    fn reads(script: Vec<std::io::Result<&[u8]>>) -> Scripted {
+        Scripted {
+            reads: script.into_iter().map(|r| r.map(<[u8]>::to_vec)).collect(),
+            ..Scripted::default()
+        }
+    }
+
+    fn writes(script: Vec<std::io::Result<usize>>) -> Scripted {
+        Scripted {
+            writes: script.into(),
+            ..Scripted::default()
+        }
+    }
+
+    fn err<T>(kind: ErrorKind) -> std::io::Result<T> {
+        Err(kind.into())
+    }
+
+    /// Server state on `clock` with no listener and no datasets; the
+    /// executor never grows a worker because the tests only send
+    /// control ops.
+    fn harness(clock: Arc<TestClock>) -> (Arc<Shared>, Executor) {
+        let mut config = ServerConfig::new(Bind::Tcp(0), "no-datasets".into());
+        config.clock = clock as Arc<dyn Clock>;
+        let shared = Arc::new(Shared::new(config));
+        let executor = Executor::new(&shared, 1);
+        (shared, executor)
+    }
+
+    fn lines(bytes: &[u8]) -> Vec<String> {
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn eintr_is_a_pure_retry_in_fill() {
+        // EINTR between chunks must not kill the connection: the
+        // interrupted reads retry and the complete line is answered.
+        let (shared, mut executor) = harness(Arc::new(TestClock::new()));
+        let mut conn = Conn::new(
+            reads(vec![
+                err(ErrorKind::Interrupted),
+                Ok(b"{\"op\":"),
+                err(ErrorKind::Interrupted),
+                err(ErrorKind::Interrupted),
+                Ok(b"\"stats\"}\n"),
+            ]),
+            Duration::from_secs(30),
+        );
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Progress);
+        let answered = lines(&conn.stream.accepted);
+        assert_eq!(answered.len(), 1, "{answered:?}");
+        assert!(answered[0].starts_with(r#"{"ok":"stats""#), "{answered:?}");
+        assert_eq!(conn.stream.shutdowns, 0);
+        // Nothing more to read: the connection idles, it is not closed.
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
+    }
+
+    #[test]
+    fn partial_line_waits_until_shutdown_then_is_dropped() {
+        let (shared, mut executor) = harness(Arc::new(TestClock::new()));
+        // A WouldBlock mid-line is no reason to close: the partial
+        // line stays buffered and the connection idles.
+        let mut partial = Conn::new(reads(vec![Ok(b"{\"op\":")]), Duration::from_secs(30));
+        assert_eq!(partial.step(0, &shared, &mut executor), Step::Progress);
+        assert_eq!(partial.step(0, &shared, &mut executor), Step::Idle);
+
+        // Another connection requests shutdown. Complete lines it had
+        // already buffered are still answered; its trailing partial
+        // line is dropped and the connection closes.
+        let mut closer = Conn::new(
+            reads(vec![Ok(
+                b"{\"op\":\"shutdown\"}\n{\"op\":\"stats\"}\n{\"op\":\"st",
+            )]),
+            Duration::from_secs(30),
+        );
+        assert_eq!(closer.step(1, &shared, &mut executor), Step::Closed);
+        let answered = lines(&closer.stream.accepted);
+        assert_eq!(answered.len(), 2, "{answered:?}");
+        assert_eq!(answered[0], r#"{"ok":"shutdown"}"#);
+        assert!(answered[1].starts_with(r#"{"ok":"stats""#), "{answered:?}");
+
+        // Now the idle partial line is dropped unanswered.
+        assert_eq!(partial.step(0, &shared, &mut executor), Step::Closed);
+        assert!(partial.stream.accepted.is_empty());
+        assert_eq!(partial.stream.shutdowns, 0);
+    }
+
+    #[test]
+    fn flush_resumes_partial_writes() {
+        // Short writes and WouldBlocks interleave, yet the full line
+        // arrives untorn: the written offset is tracked and resumed,
+        // and every byte of progress restarts the stall window. Each
+        // clock read advances 0.6 ms against a 1 ms window, so two
+        // stalls only trip the cut-off if progress failed to reset it.
+        let clock = Arc::new(TestClock::with_step(600_000));
+        let (shared, mut executor) = harness(clock);
+        let mut conn = Conn::new(
+            writes(vec![
+                Ok(3),
+                err(ErrorKind::WouldBlock),
+                err(ErrorKind::TimedOut),
+                Ok(4),
+                err(ErrorKind::WouldBlock),
+                err(ErrorKind::WouldBlock),
+                Ok(2),
+            ]),
+            Duration::from_millis(1),
+        );
+        conn.complete(b"0123456789\n".to_vec());
+        let mut steps = 0;
+        while conn.stream.accepted.len() < 11 {
+            assert_ne!(conn.step(0, &shared, &mut executor), Step::Closed);
+            steps += 1;
+            assert!(steps < 10, "write never completed");
+        }
+        assert_eq!(conn.stream.accepted, b"0123456789\n");
+        assert_eq!(conn.stream.shutdowns, 0);
+    }
+
+    #[test]
+    fn flush_retries_eintr_without_consulting_the_clock() {
+        // EINTR is a pure retry: a burst of signals neither counts
+        // against the stall window nor reaches the clock at all —
+        // any two reads of this clock would trip the 1 ns window.
+        let clock = Arc::new(TestClock::with_step(u64::MAX / 4));
+        let (shared, mut executor) = harness(clock);
+        let mut conn = Conn::new(
+            writes((0..16).map(|_| err(ErrorKind::Interrupted)).collect()),
+            Duration::from_nanos(1),
+        );
+        conn.complete(b"{\"ok\":\"stats\"}\n".to_vec());
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Progress);
+        assert_eq!(conn.stream.accepted, b"{\"ok\":\"stats\"}\n");
+        assert_eq!(conn.stream.shutdowns, 0);
+    }
+
+    #[test]
+    fn zero_progress_stall_half_closes_the_socket() {
+        // Zero progress for a full write_timeout window: the socket is
+        // shut down (peer sees EOF, not a torn prefix passing as a
+        // complete response) before the connection is dropped.
+        let clock = Arc::new(TestClock::with_step(600_000)); // 0.6 ms per read
+        let (shared, mut executor) = harness(clock);
+        let mut conn = Conn::new(
+            writes((0..3).map(|_| err(ErrorKind::TimedOut)).collect()),
+            Duration::from_millis(1),
+        );
+        conn.complete(b"response\n".to_vec());
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
+        assert_eq!(conn.stream.shutdowns, 0, "still inside the window");
+        assert_eq!(conn.step(0, &shared, &mut executor), Step::Closed);
+        assert_eq!(conn.stream.shutdowns, 1, "half-close precedes the drop");
+        assert!(conn.stream.accepted.is_empty());
     }
 }

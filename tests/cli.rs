@@ -1,6 +1,8 @@
 //! End-to-end tests of the `utk` command-line binary.
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -13,11 +15,24 @@ p6,7.9,6.4,6.6
 p7,8.6,7.1,4.3
 ";
 
-fn hotels_file() -> std::path::PathBuf {
-    let dir = std::env::temp_dir();
-    let path = dir.join("utk_cli_test_hotels.csv");
-    std::fs::write(&path, HOTELS_CSV).unwrap();
-    path
+/// A scratch path unique to this test process. Test binaries run
+/// concurrently (and their tests run on parallel threads), so a fixed
+/// fixture name would let one writer truncate a file another test's
+/// child `utk` is reading.
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("utk_cli_test_{}_{tag}", std::process::id()))
+}
+
+/// The Figure 1 hotels CSV, written once per process and never
+/// rewritten while child processes read it.
+fn hotels_file() -> PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let path = scratch_path("hotels.csv");
+        std::fs::write(&path, HOTELS_CSV).unwrap();
+        path
+    })
+    .clone()
 }
 
 fn utk(args: &[&str]) -> (String, String, bool) {
@@ -98,7 +113,7 @@ fn generate_pipes_back_into_queries() {
     ]);
     assert!(ok);
     assert_eq!(csv.lines().count(), 50);
-    let path = std::env::temp_dir().join("utk_cli_test_gen.csv");
+    let path = scratch_path("gen.csv");
     std::fs::write(&path, &csv).unwrap();
     let (stdout, _, ok) = utk(&[
         "utk1",
@@ -149,6 +164,17 @@ fn helpful_errors() {
     let (_, stderr, ok) = utk(&["frobnicate", "--x", "1"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
+}
+
+#[test]
+fn serve_refuses_the_removed_transport_flag() {
+    // Parsing fails before anything binds: no server ever starts.
+    let (_, stderr, ok) = utk(&["serve", "--transport", "evented"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown flag --transport"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -454,8 +480,8 @@ utk1 --k 0 --lo 0.05,0.05 --hi 0.45,0.25
 utk1 --k 2 --json
 ";
 
-fn batch_file() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join("utk_cli_test_batch.txt");
+fn batch_file() -> PathBuf {
+    let path = scratch_path("batch.txt");
     std::fs::write(&path, BATCH_QUERIES).unwrap();
     path
 }
@@ -500,7 +526,7 @@ fn batch_mode_emits_one_json_line_per_query_in_order() {
 #[test]
 fn batch_utk1_line_matches_single_query_json_records() {
     let data = hotels_file();
-    let path = std::env::temp_dir().join("utk_cli_test_batch_single.txt");
+    let path = scratch_path("batch_single.txt");
     std::fs::write(&path, "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25\n").unwrap();
     let (batch_out, _, ok1) = utk(&[
         "batch",

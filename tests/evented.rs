@@ -1,16 +1,19 @@
-//! Transport-differential tests for the evented serving front end:
-//! byte-identity against the threads transport, connection scaling
-//! past the thread cap, connection-cap accounting under churn, and
-//! the partial-write/stuck-reader connection-I/O contracts — on both
-//! transports, since the threads path is the differential oracle.
+//! Integration tests for the evented serving front end: served bytes
+//! against the in-process `utk batch` oracle, connection scaling,
+//! connection-cap accounting under churn, and the throttled-reader /
+//! stuck-reader connection-I/O contracts over real sockets.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use utk::core::engine::UtkEngine;
+use utk::data::csv::parse_csv;
 use utk::server::client::{BatchReply, Connection};
-use utk::server::proto::Request;
-use utk::server::server::{Bind, Server, ServerConfig, ServerHandle, Transport};
+use utk::server::proto::{Request, Response};
+use utk::server::registry::DatasetRegistry;
+use utk::server::server::{Bind, Server, ServerConfig, ServerHandle};
+use utk::server::spec;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -43,10 +46,9 @@ fn datasets_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// An in-process TCP server on the given transport.
-fn spawn(tag: &str, transport: Transport, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
+/// An in-process TCP server.
+fn spawn(tag: &str, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig::new(Bind::Tcp(0), datasets_dir(tag));
-    config.transport = transport;
     config.pool_threads = 1;
     tweak(&mut config);
     Server::bind(config).expect("bind").spawn()
@@ -99,31 +101,52 @@ fn drive_protocol(handle: &ServerHandle) -> Vec<String> {
     lines
 }
 
-/// Tentpole differential: the full protocol surface — load, query, a
-/// mixed batch, and the typed error paths — produces byte-identical
-/// response lines on both transports.
+/// The served wire bytes for the full protocol surface — load, query,
+/// a mixed batch, and the typed error paths — are byte-identical to
+/// the in-process answers: `spec` on a fresh engine (the `utk batch`
+/// oracle) for query results, and the protocol's own renderings for
+/// receipts and errors.
 #[test]
 fn transports_produce_byte_identical_responses() {
-    // Same fixture dir for both servers: error lines embed dataset
-    // paths, and those must match byte-for-byte too.
-    let threads = spawn("ident", Transport::Threads, |_| {});
-    let evented = spawn("ident", Transport::Evented, |_| {});
-    let from_threads = drive_protocol(&threads);
-    let from_evented = drive_protocol(&evented);
+    let dir = datasets_dir("ident");
+    let handle = spawn("ident", |_| {});
+    let served = drive_protocol(&handle);
+    shutdown(handle);
+
+    let data = parse_csv(HOTELS_CSV, "hotels").unwrap();
+    // Same pool size as the server's engines: `--parallel` answers
+    // report it.
+    let engine = UtkEngine::new(data.dataset.points.clone())
+        .unwrap()
+        .with_pool_threads(1);
+    let mut expected = vec![
+        Response::Load {
+            dataset: "hotels".into(),
+            n: 7,
+            d: 3,
+            already_loaded: false,
+        }
+        .to_json(),
+        spec::answer_query_line(&engine, &data, "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25"),
+    ];
+    let parsed = spec::parse_query_file(QUERY_FILE, data.dataset.dim());
+    expected.extend(spec::answer_query_file(&engine, &data, &parsed));
+    for bad in ["hello there", r#"{"op":"frobnicate"}"#] {
+        expected.push(Request::parse(bad).unwrap_err().to_json());
+    }
+    let registry = DatasetRegistry::new(dir, 1 << 20, 1);
+    expected.push(registry.get_or_load("nope").unwrap_err().to_json());
     assert_eq!(
-        from_threads, from_evented,
-        "transports disagree on wire bytes"
+        served, expected,
+        "served bytes differ from in-process answers"
     );
-    shutdown(threads);
-    shutdown(evented);
 }
 
-/// Connection scaling: the evented transport holds 300 concurrent
-/// connections — past the threads transport's 256-connection default
-/// — and serves a query on every one of them.
+/// Connection scaling: the reactor holds 300 concurrent connections
+/// and serves a query on every one of them.
 #[test]
 fn evented_serves_three_hundred_concurrent_connections() {
-    let handle = spawn("scale", Transport::Evented, |c| {
+    let handle = spawn("scale", |c| {
         c.max_inflight = 16;
     });
     let mut conns: Vec<Connection> = (0..300)
@@ -171,14 +194,15 @@ fn read_raw_line(stream: &mut TcpStream) -> String {
     String::from_utf8_lossy(&line).into_owned()
 }
 
-/// Satellite: connection-cap accounting on error/churn paths. A
+/// Connection-cap accounting on error/churn paths. A
 /// connection that dies before, during, or right after setup must
 /// never leak a slot toward the cap: after 3×cap churned connections
 /// (instant drops and half-written garbage), the full cap of live
 /// connections still fits — and the cap itself still holds.
-fn cap_survives_connection_churn(tag: &str, transport: Transport) {
+#[test]
+fn cap_survives_connection_churn_on_evented() {
     const CAP: usize = 8;
-    let handle = spawn(tag, transport, |c| {
+    let handle = spawn("churn_evented", |c| {
         c.max_connections = CAP;
     });
     let port = tcp_port(&handle);
@@ -240,16 +264,6 @@ fn cap_survives_connection_churn(tag: &str, transport: Transport) {
     handle.join().expect("clean exit");
 }
 
-#[test]
-fn cap_survives_connection_churn_on_threads() {
-    cap_survives_connection_churn("churn_threads", Transport::Threads);
-}
-
-#[test]
-fn cap_survives_connection_churn_on_evented() {
-    cap_survives_connection_churn("churn_evented", Transport::Evented);
-}
-
 /// A batch big enough that its response (hundreds of KiB) overflows
 /// the socket buffers, forcing the server into partial writes.
 fn big_batch(queries: usize) -> String {
@@ -263,15 +277,16 @@ fn big_batch(queries: usize) -> String {
     .to_json()
 }
 
-/// Satellite-1 regression: a throttled-but-alive reader receives the
-/// complete response, byte-for-byte — the server resumes partial
-/// writes after its per-syscall write timeouts instead of tearing the
-/// line and dropping the connection.
-fn throttled_reader_gets_untorn_response(tag: &str, transport: Transport) {
+/// A throttled-but-alive reader receives the complete response,
+/// byte-for-byte — the server resumes partial writes whenever the
+/// socket becomes writable again instead of tearing the line and
+/// dropping the connection.
+#[test]
+fn throttled_reader_gets_untorn_response_on_evented() {
     // ~6 MiB of response: past the ~4 MiB the kernel send buffer can
     // absorb (tcp_wmem max), so the server *must* hit partial writes.
     const QUERIES: usize = 40_000;
-    let handle = spawn(tag, transport, |_| {});
+    let handle = spawn("throttle_evented", |_| {});
     let port = tcp_port(&handle);
 
     // The oracle: the same batch read at full speed.
@@ -321,29 +336,20 @@ fn throttled_reader_gets_untorn_response(tag: &str, transport: Transport) {
     shutdown(handle);
 }
 
-#[test]
-fn throttled_reader_gets_untorn_response_on_threads() {
-    throttled_reader_gets_untorn_response("throttle_threads", Transport::Threads);
-}
-
-#[test]
-fn throttled_reader_gets_untorn_response_on_evented() {
-    throttled_reader_gets_untorn_response("throttle_evented", Transport::Evented);
-}
-
 /// The other half of the write contract: a reader that stops reading
 /// *entirely* is disconnected after the zero-progress window — with a
 /// socket shutdown first, so it observes EOF (a detectably incomplete
 /// response: fewer lines than the batch header promised) rather than
 /// hanging the server; the server stays fully responsive throughout
 /// and still drains cleanly.
-fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
+#[test]
+fn stuck_reader_is_cut_loose_on_evented() {
     // ~14 MiB of response: far past everything the kernel will buffer
     // for a reader that never reads (sndbuf caps at ~4 MiB and the
     // receive window stays small without reads), so the server's
     // write is guaranteed to stall with zero progress.
     const QUERIES: usize = 100_000;
-    let handle = spawn(tag, transport, |c| {
+    let handle = spawn("stuck_evented", |c| {
         c.write_timeout = Duration::from_millis(300);
     });
     let port = tcp_port(&handle);
@@ -353,12 +359,11 @@ fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
     stuck.write_all(b"\n").unwrap();
     // Read nothing. The server fills the socket buffers, stalls with
     // zero progress for the whole window, and cuts the connection.
-    // Wait for the in-process signal that the batch request ended: it
-    // enters `inflight` while executing and leaves when the request
-    // is over — on the threads transport the streaming write can only
-    // end by erroring out (the cut); on the evented transport it
-    // marks compute done. Then ride out the stall window with margin
-    // so the cut has certainly landed before we touch the socket.
+    // Wait for the in-process signal that the batch was rendered: it
+    // enters `inflight` while executing and leaves once compute is
+    // done and the response is handed to the reactor to drain. Then
+    // ride out the stall window with margin so the cut has certainly
+    // landed before we touch the socket.
     let deadline = Instant::now() + Duration::from_secs(120);
     while handle.snapshot().inflight == 0 {
         assert!(Instant::now() < deadline, "batch never started");
@@ -410,14 +415,4 @@ fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
     handle
         .join()
         .expect("clean exit despite the cut connection");
-}
-
-#[test]
-fn stuck_reader_is_cut_loose_on_threads() {
-    stuck_reader_is_cut_loose("stuck_threads", Transport::Threads);
-}
-
-#[test]
-fn stuck_reader_is_cut_loose_on_evented() {
-    stuck_reader_is_cut_loose("stuck_evented", Transport::Evented);
 }
