@@ -50,9 +50,10 @@
 //! # Ok::<(), utk_core::UtkError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use crate::baseline::{baseline_utk1, FilterKind};
 use crate::cache::ByteLru;
@@ -615,6 +616,81 @@ impl DataRef {
             DataRef::Snapshot(v) => v.epoch,
             DataRef::Transformed(s) => s.epoch,
         }
+    }
+}
+
+/// The filter-cache turn of a [`UtkEngine::run_many`] batch: the index
+/// of the next query allowed to touch the cache.
+#[derive(Default)]
+struct BatchOrder {
+    turn: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl BatchOrder {
+    /// Blocks until the turn reaches `index`. The counter is valid
+    /// after any panic, so a poisoned lock is safe to keep using (and
+    /// [`Turn::pass`] runs in `drop`, where a panic would abort).
+    fn reach(&self, index: usize) -> MutexGuard<'_, usize> {
+        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        while *turn < index {
+            turn = self.cv.wait(turn).unwrap_or_else(PoisonError::into_inner);
+        }
+        turn
+    }
+}
+
+/// One query's place in its batch's [`BatchOrder`]. Queries touch the
+/// filter cache strictly in input order, so a batch answers exactly
+/// like the sequential loop of `run` calls. A lone `run` has no batch
+/// and never waits. The turn passes on drop at the latest, so a query
+/// that errors, panics or never reaches the filter still lets later
+/// queries through.
+struct Turn<'a> {
+    batch: Option<(&'a BatchOrder, usize)>,
+    passed: Cell<bool>,
+}
+
+impl<'a> Turn<'a> {
+    fn solo() -> Turn<'static> {
+        Turn {
+            batch: None,
+            passed: Cell::new(false),
+        }
+    }
+
+    fn in_batch(order: &'a BatchOrder, index: usize) -> Turn<'a> {
+        Turn {
+            batch: Some((order, index)),
+            passed: Cell::new(false),
+        }
+    }
+
+    /// Blocks until every earlier query of the batch has passed its
+    /// turn. A query must pass its turn before it touches the pool:
+    /// run_many's deadlock freedom rests on that.
+    fn wait(&self) {
+        if let Some((order, index)) = self.batch {
+            drop(order.reach(index));
+        }
+    }
+
+    /// Hands the turn to the next query, first waiting for this one's.
+    /// Idempotent.
+    fn pass(&self) {
+        if self.passed.replace(true) {
+            return;
+        }
+        if let Some((order, index)) = self.batch {
+            *order.reach(index) = index + 1;
+            order.cv.notify_all();
+        }
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.pass();
     }
 }
 
@@ -1534,13 +1610,17 @@ impl UtkEngine {
     /// lands on `Stats::timings` (off the wire format — see
     /// [`crate::obs`]).
     pub fn run(&self, query: &UtkQuery) -> Result<QueryResult, UtkError> {
-        let (result, timings) = obs::trace(&self.inner.clock, || self.run_untraced(query));
+        self.run_in_turn(query, &Turn::solo())
+    }
+
+    fn run_in_turn(&self, query: &UtkQuery, turn: &Turn) -> Result<QueryResult, UtkError> {
+        let (result, timings) = obs::trace(&self.inner.clock, || self.run_untraced(query, turn));
         let mut result = result?;
         result.stats_mut().timings = timings;
         Ok(result)
     }
 
-    fn run_untraced(&self, query: &UtkQuery) -> Result<QueryResult, UtkError> {
+    fn run_untraced(&self, query: &UtkQuery, turn: &Turn) -> Result<QueryResult, UtkError> {
         if query.k == 0 {
             return Err(UtkError::InvalidK { k: 0 });
         }
@@ -1549,8 +1629,8 @@ impl UtkEngine {
         let data = self.data_for(query.scoring.as_ref())?;
         let mut result = match query.kind {
             QueryKind::TopK => self.run_topk(query, &data).map(QueryResult::TopK),
-            QueryKind::Utk1 => self.run_utk1(query, &data).map(QueryResult::Utk1),
-            QueryKind::Utk2 => self.run_utk2(query, &data).map(QueryResult::Utk2),
+            QueryKind::Utk1 => self.run_utk1(query, &data, turn).map(QueryResult::Utk1),
+            QueryKind::Utk2 => self.run_utk2(query, &data, turn).map(QueryResult::Utk2),
         }?;
         result.stats_mut().dataset_epoch = data.epoch() as usize;
         Ok(result)
@@ -1561,11 +1641,15 @@ impl UtkEngine {
     /// returns, including per-query errors (one malformed query never
     /// aborts or poisons its siblings).
     ///
-    /// Queries are grouped by `(k, region, scoring)` so each group
-    /// pays the filter-cache lock and the r-skyband prefiltering once,
-    /// and groups execute concurrently on the engine's worker pool.
-    /// Each successful result's [`Stats::batch_group_count`] records
-    /// how many groups the batch split into.
+    /// Queries execute concurrently on the engine's worker pool, but
+    /// their filter-cache accesses take turns in input order, so every
+    /// answer and every stat equals that of the sequential loop of
+    /// `run` calls however the pool schedules them: a repeated
+    /// `(k, region, scoring)` is a cache hit, and a contained region
+    /// reuses its superset, exactly as in the loop. Refinement, the
+    /// bulk of the work, overlaps freely. Each successful result's
+    /// [`Stats::batch_group_count`] records how many distinct filter
+    /// keys (each top-k query counting as its own) the batch holds.
     pub fn run_many(&self, queries: &[UtkQuery]) -> Vec<Result<QueryResult, UtkError>> {
         // An empty batch is a legitimate request (a server `batch` op
         // with no parseable lines): answer it without building the
@@ -1573,65 +1657,46 @@ impl UtkEngine {
         if queries.is_empty() {
             return Vec::new();
         }
-        // Group by filter identity at the current epoch: same-group
-        // queries reuse one memoized r-skyband and never race on the
-        // same cache miss. (Grouping is a scheduling heuristic only —
-        // if a mutation lands mid-batch, later group members' own
-        // epoch-keyed lookups miss and recompute on their snapshot,
-        // so a pre-mutation r-skyband is never served across the
-        // epoch boundary.) Top-k queries never touch the filter, so
-        // grouping them would only serialize independent work — they
-        // fan out one per slot.
         let epoch = self.current().epoch;
-        let mut group_of: HashMap<FilterKey, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            if query.kind == QueryKind::TopK {
-                groups.push(vec![i]);
-                continue;
-            }
-            match group_of.get(&FilterKey::of(query, epoch)) {
-                Some(&g) => groups[g].push(i),
-                None => {
-                    group_of.insert(FilterKey::of(query, epoch), groups.len());
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        let group_count = groups.len();
+        let topk = queries.iter().filter(|q| q.kind == QueryKind::TopK).count();
+        let keys: HashSet<FilterKey> = queries
+            .iter()
+            .filter(|q| q.kind != QueryKind::TopK)
+            .map(|q| FilterKey::of(q, epoch))
+            .collect();
+        let group_count = topk + keys.len();
 
         // One pre-allocated slot per query keeps answers in input
-        // order however the groups are scheduled.
+        // order however the tasks are scheduled.
         type Slots = Vec<Mutex<Option<Result<QueryResult, UtkError>>>>;
         let mut out: Vec<Result<QueryResult, UtkError>> = if queries.len() <= 1 {
             // A batch of one needs no pool.
             queries.iter().map(|q| self.run(q)).collect()
         } else {
             let slots: Arc<Slots> = Arc::new(queries.iter().map(|_| Mutex::new(None)).collect());
+            let batch: Arc<Vec<UtkQuery>> = Arc::new(queries.to_vec());
+            let order = Arc::new(BatchOrder::default());
+            let claimed = Arc::new(AtomicUsize::new(0));
             let set = self.pool().task_set();
-            for members in groups {
+            for _ in 0..batch.len() {
                 let engine = self.clone();
-                let batch: Vec<UtkQuery> = members.iter().map(|&i| queries[i].clone()).collect();
+                let batch = Arc::clone(&batch);
                 let slots = Arc::clone(&slots);
-                let nested = set.clone();
+                let order = Arc::clone(&order);
+                let claimed = Arc::clone(&claimed);
                 set.spawn(move || {
-                    // Warm-then-fan-out: the group's first query pays
-                    // the filter miss; the rest are independent
-                    // cache hits, so they go back to the pool instead
-                    // of serializing on this worker.
-                    let mut members = members.into_iter().zip(batch);
-                    if let Some((slot, query)) = members.next() {
-                        let result = engine.run(&query);
-                        *slots[slot].lock().expect("batch result slot") = Some(result);
-                    }
-                    for (slot, query) in members {
-                        let engine = engine.clone();
-                        let slots = Arc::clone(&slots);
-                        nested.spawn(move || {
-                            let result = engine.run(&query);
-                            *slots[slot].lock().expect("batch result slot") = Some(result);
-                        });
-                    }
+                    // Indices are claimed as tasks start, not as they
+                    // are queued: every earlier index then belongs to
+                    // a task already running, whose turn passes
+                    // before it touches the pool, so waiting for a
+                    // turn never starves the pool into a deadlock.
+                    let i = claimed.fetch_add(1, Ordering::Relaxed);
+                    let Some(query) = batch.get(i) else {
+                        return;
+                    };
+                    let turn = Turn::in_batch(&order, i);
+                    let result = engine.run_in_turn(query, &turn);
+                    *slots[i].lock().expect("batch result slot") = Some(result);
                 });
             }
             set.wait();
@@ -1743,7 +1808,12 @@ impl UtkEngine {
         Ok(reduced)
     }
 
-    fn run_utk1(&self, query: &UtkQuery, data: &DataRef) -> Result<Utk1Result, UtkError> {
+    fn run_utk1(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        turn: &Turn,
+    ) -> Result<Utk1Result, UtkError> {
         let region = self.checked_region(query)?;
         match query.algo.resolved_for(QueryKind::Utk1) {
             algo @ (Algo::Sk | Algo::On) => {
@@ -1761,17 +1831,22 @@ impl UtkEngine {
                 ))
             }
             Algo::Jaa => {
-                let r = self.jaa_pipeline(data, region, query)?;
+                let r = self.jaa_pipeline(data, region, query, turn)?;
                 Ok(Utk1Result {
                     records: r.records,
                     stats: r.stats,
                 })
             }
-            _ => self.rsa_pipeline(data, region, query),
+            _ => self.rsa_pipeline(data, region, query, turn),
         }
     }
 
-    fn run_utk2(&self, query: &UtkQuery, data: &DataRef) -> Result<Utk2Result, UtkError> {
+    fn run_utk2(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        turn: &Turn,
+    ) -> Result<Utk2Result, UtkError> {
         match query.algo {
             Algo::Auto | Algo::Jaa => {}
             other => {
@@ -1782,7 +1857,7 @@ impl UtkEngine {
             }
         }
         let region = self.checked_region(query)?;
-        self.jaa_pipeline(data, region, query)
+        self.jaa_pipeline(data, region, query, turn)
     }
 
     fn checked_region<'q>(&self, query: &'q UtkQuery) -> Result<&'q Region, UtkError> {
@@ -1827,6 +1902,7 @@ impl UtkEngine {
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
+        turn: &Turn,
     ) -> Result<Utk1Result, UtkError> {
         let k = query.k;
         let (interior, slack) = match self.interior_or_degenerate(data, region, k)? {
@@ -1838,7 +1914,7 @@ impl UtkEngine {
             }
             RegionInterior::Full { interior, slack } => (interior, slack),
         };
-        let (cands, mut stats) = self.candidates(data, region, query)?;
+        let (cands, mut stats) = self.candidates(data, region, query, turn)?;
         let records = if cands.len() <= k {
             let mut records = cands.ids.clone();
             records.sort_unstable();
@@ -1876,6 +1952,7 @@ impl UtkEngine {
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
+        turn: &Turn,
     ) -> Result<Utk2Result, UtkError> {
         let k = query.k;
         let (interior, slack) = match self.interior_or_degenerate(data, region, k)? {
@@ -1892,7 +1969,7 @@ impl UtkEngine {
             }
             RegionInterior::Full { interior, slack } => (interior, slack),
         };
-        let (cands, mut stats) = self.candidates(data, region, query)?;
+        let (cands, mut stats) = self.candidates(data, region, query, turn)?;
         if cands.len() <= k {
             let mut top_k = cands.ids.clone();
             top_k.sort_unstable();
@@ -1953,15 +2030,19 @@ impl UtkEngine {
     ///
     /// Both miss paths insert their result (evicting LRU entries past
     /// the byte budget) and count toward [`Stats::evictions`] /
-    /// [`Stats::filter_cache_bytes`].
+    /// [`Stats::filter_cache_bytes`]. The cache work waits for `turn`,
+    /// which passes once the cache holds this query's entry.
     fn candidates(
         &self,
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
+        turn: &Turn,
     ) -> Result<(Arc<CandidateSet>, Stats), UtkError> {
-        let mut stats = Stats::new();
         if !self.inner.cache_enabled {
+            // Nothing shared to order: the next query may go at once.
+            turn.pass();
+            let mut stats = Stats::new();
             let cands = obs::span(Phase::Filter, || {
                 r_skyband_view_with_kernel(
                     data.store(),
@@ -1975,6 +2056,20 @@ impl UtkEngine {
             });
             return Ok((Arc::new(cands), stats));
         }
+        turn.wait();
+        let found = self.cached_candidates(data, region, query);
+        turn.pass();
+        found
+    }
+
+    /// [`Self::candidates`] through the filter cache.
+    fn cached_candidates(
+        &self,
+        data: &DataRef,
+        region: &Region,
+        query: &UtkQuery,
+    ) -> Result<(Arc<CandidateSet>, Stats), UtkError> {
+        let mut stats = Stats::new();
         debug_assert_eq!(
             region_fingerprint(region),
             query

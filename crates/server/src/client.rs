@@ -42,9 +42,16 @@ impl Connection {
     }
 
     /// Sends one raw request line and reads one raw response line.
+    ///
+    /// The line and its newline go out in one write: a server that
+    /// refused the connection (a `busy` line, then close) answers the
+    /// first write with a reset, and a second write would fail with
+    /// `BrokenPipe` before the refusal could be read.
     pub fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)?;
         self.writer.flush()?;
         self.read_line()
     }

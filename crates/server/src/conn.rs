@@ -42,6 +42,11 @@ use crate::server::{
     claim_admission, respond_admitted, write_line, Shared, Stream, MAX_REQUEST_BYTES,
 };
 
+/// Size of the read scratch buffer the reactor lends to
+/// [`Conn::step`]: one buffer serves every connection, so an idle
+/// sweep's `WouldBlock` probe costs a syscall, not a fresh buffer.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
+
 /// The socket surface a [`Conn`] drives: non-blocking reads and
 /// writes plus a best-effort full shutdown. [`Stream`] is the
 /// production implementation.
@@ -133,15 +138,24 @@ impl<S: ConnStream> Conn<S> {
         self.executing = false;
     }
 
+    /// Whether the connection waits for its peer's next request:
+    /// nothing executing and no response left to write. The reactor
+    /// reads this after each [`Conn::step`] to choose its park.
+    pub(crate) fn awaiting_request(&self) -> bool {
+        !self.executing && !self.closing && self.write_buf.is_empty()
+    }
+
     /// Advances the state machine as far as the socket allows: drain
     /// pending output, then consume complete request lines, then pull
-    /// more bytes. Returns [`Step::Closed`] when the reactor should
+    /// more bytes through `scratch` (non-empty; its contents are
+    /// overwritten). Returns [`Step::Closed`] when the reactor should
     /// drop the connection.
     pub(crate) fn step(
         &mut self,
         token: u64,
         shared: &Arc<Shared>,
         executor: &mut Executor,
+        scratch: &mut [u8],
     ) -> Step {
         let mut progress = false;
         let done = |progress: bool| {
@@ -180,7 +194,7 @@ impl<S: ConnStream> Conn<S> {
                 // answered.
                 return Step::Closed;
             }
-            match self.fill() {
+            match self.fill(scratch) {
                 Fill::Progress => progress = true,
                 Fill::Blocked => return done(progress),
                 Fill::Closed => return Step::Closed,
@@ -287,14 +301,13 @@ impl<S: ConnStream> Conn<S> {
         }
     }
 
-    /// Reads whatever the socket has, up to a complete line. EINTR
-    /// retries; an over-cap line without a newline in sight closes
-    /// the connection without a reply.
-    fn fill(&mut self) -> Fill {
+    /// Reads whatever the socket has, up to a complete line, through
+    /// `chunk`. EINTR retries; an over-cap line without a newline in
+    /// sight closes the connection without a reply.
+    fn fill(&mut self, chunk: &mut [u8]) -> Fill {
         let mut any = false;
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.eof = true;
                     return Fill::Progress;
@@ -401,15 +414,31 @@ mod tests {
         Err(kind.into())
     }
 
-    /// Server state on `clock` with no listener and no datasets; the
-    /// executor never grows a worker because the tests only send
-    /// control ops.
-    fn harness(clock: Arc<TestClock>) -> (Arc<Shared>, Executor) {
+    /// What the reactor lends each [`Conn::step`]: server state with no
+    /// listener and no datasets, the executor (which grows a worker
+    /// only if a test sends a work op) and the read scratch buffer.
+    struct Harness {
+        shared: Arc<Shared>,
+        executor: Executor,
+        scratch: Vec<u8>,
+    }
+
+    impl Harness {
+        fn step(&mut self, conn: &mut Conn<Scripted>, token: u64) -> Step {
+            conn.step(token, &self.shared, &mut self.executor, &mut self.scratch)
+        }
+    }
+
+    fn harness(clock: Arc<TestClock>) -> Harness {
         let mut config = ServerConfig::new(Bind::Tcp(0), "no-datasets".into());
         config.clock = clock as Arc<dyn Clock>;
         let shared = Arc::new(Shared::new(config));
         let executor = Executor::new(&shared, 1);
-        (shared, executor)
+        Harness {
+            shared,
+            executor,
+            scratch: vec![0; READ_CHUNK],
+        }
     }
 
     fn lines(bytes: &[u8]) -> Vec<String> {
@@ -423,7 +452,7 @@ mod tests {
     fn eintr_is_a_pure_retry_in_fill() {
         // EINTR between chunks must not kill the connection: the
         // interrupted reads retry and the complete line is answered.
-        let (shared, mut executor) = harness(Arc::new(TestClock::new()));
+        let mut h = harness(Arc::new(TestClock::new()));
         let mut conn = Conn::new(
             reads(vec![
                 err(ErrorKind::Interrupted),
@@ -434,23 +463,23 @@ mod tests {
             ]),
             Duration::from_secs(30),
         );
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Progress);
+        assert_eq!(h.step(&mut conn, 0), Step::Progress);
         let answered = lines(&conn.stream.accepted);
         assert_eq!(answered.len(), 1, "{answered:?}");
         assert!(answered[0].starts_with(r#"{"ok":"stats""#), "{answered:?}");
         assert_eq!(conn.stream.shutdowns, 0);
         // Nothing more to read: the connection idles, it is not closed.
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
+        assert_eq!(h.step(&mut conn, 0), Step::Idle);
     }
 
     #[test]
     fn partial_line_waits_until_shutdown_then_is_dropped() {
-        let (shared, mut executor) = harness(Arc::new(TestClock::new()));
+        let mut h = harness(Arc::new(TestClock::new()));
         // A WouldBlock mid-line is no reason to close: the partial
         // line stays buffered and the connection idles.
         let mut partial = Conn::new(reads(vec![Ok(b"{\"op\":")]), Duration::from_secs(30));
-        assert_eq!(partial.step(0, &shared, &mut executor), Step::Progress);
-        assert_eq!(partial.step(0, &shared, &mut executor), Step::Idle);
+        assert_eq!(h.step(&mut partial, 0), Step::Progress);
+        assert_eq!(h.step(&mut partial, 0), Step::Idle);
 
         // Another connection requests shutdown. Complete lines it had
         // already buffered are still answered; its trailing partial
@@ -461,14 +490,14 @@ mod tests {
             )]),
             Duration::from_secs(30),
         );
-        assert_eq!(closer.step(1, &shared, &mut executor), Step::Closed);
+        assert_eq!(h.step(&mut closer, 1), Step::Closed);
         let answered = lines(&closer.stream.accepted);
         assert_eq!(answered.len(), 2, "{answered:?}");
         assert_eq!(answered[0], r#"{"ok":"shutdown"}"#);
         assert!(answered[1].starts_with(r#"{"ok":"stats""#), "{answered:?}");
 
         // Now the idle partial line is dropped unanswered.
-        assert_eq!(partial.step(0, &shared, &mut executor), Step::Closed);
+        assert_eq!(h.step(&mut partial, 0), Step::Closed);
         assert!(partial.stream.accepted.is_empty());
         assert_eq!(partial.stream.shutdowns, 0);
     }
@@ -481,7 +510,7 @@ mod tests {
         // clock read advances 0.6 ms against a 1 ms window, so two
         // stalls only trip the cut-off if progress failed to reset it.
         let clock = Arc::new(TestClock::with_step(600_000));
-        let (shared, mut executor) = harness(clock);
+        let mut h = harness(clock);
         let mut conn = Conn::new(
             writes(vec![
                 Ok(3),
@@ -497,7 +526,7 @@ mod tests {
         conn.complete(b"0123456789\n".to_vec());
         let mut steps = 0;
         while conn.stream.accepted.len() < 11 {
-            assert_ne!(conn.step(0, &shared, &mut executor), Step::Closed);
+            assert_ne!(h.step(&mut conn, 0), Step::Closed);
             steps += 1;
             assert!(steps < 10, "write never completed");
         }
@@ -511,13 +540,13 @@ mod tests {
         // against the stall window nor reaches the clock at all —
         // any two reads of this clock would trip the 1 ns window.
         let clock = Arc::new(TestClock::with_step(u64::MAX / 4));
-        let (shared, mut executor) = harness(clock);
+        let mut h = harness(clock);
         let mut conn = Conn::new(
             writes((0..16).map(|_| err(ErrorKind::Interrupted)).collect()),
             Duration::from_nanos(1),
         );
         conn.complete(b"{\"ok\":\"stats\"}\n".to_vec());
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Progress);
+        assert_eq!(h.step(&mut conn, 0), Step::Progress);
         assert_eq!(conn.stream.accepted, b"{\"ok\":\"stats\"}\n");
         assert_eq!(conn.stream.shutdowns, 0);
     }
@@ -528,17 +557,45 @@ mod tests {
         // shut down (peer sees EOF, not a torn prefix passing as a
         // complete response) before the connection is dropped.
         let clock = Arc::new(TestClock::with_step(600_000)); // 0.6 ms per read
-        let (shared, mut executor) = harness(clock);
+        let mut h = harness(clock);
         let mut conn = Conn::new(
             writes((0..3).map(|_| err(ErrorKind::TimedOut)).collect()),
             Duration::from_millis(1),
         );
         conn.complete(b"response\n".to_vec());
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Idle);
+        assert_eq!(h.step(&mut conn, 0), Step::Idle);
+        assert_eq!(h.step(&mut conn, 0), Step::Idle);
         assert_eq!(conn.stream.shutdowns, 0, "still inside the window");
-        assert_eq!(conn.step(0, &shared, &mut executor), Step::Closed);
+        assert_eq!(h.step(&mut conn, 0), Step::Closed);
         assert_eq!(conn.stream.shutdowns, 1, "half-close precedes the drop");
         assert!(conn.stream.accepted.is_empty());
+    }
+
+    #[test]
+    fn awaiting_tracks_dispatch_and_completion() {
+        // A work op leaves the connection executing — not waiting for a
+        // request, so the reactor parks cold — until its completion is
+        // handed back and drained.
+        let mut h = harness(Arc::new(TestClock::new()));
+        let mut conn = Conn::new(
+            reads(vec![Ok(
+                b"{\"op\":\"query\",\"dataset\":\"hotels\",\"q\":\"utk1 --k 2\"}\n",
+            )]),
+            Duration::from_secs(30),
+        );
+        assert!(conn.awaiting_request(), "a fresh connection waits");
+        assert_eq!(h.step(&mut conn, 0), Step::Progress);
+        assert!(conn.executing);
+        assert!(!conn.awaiting_request());
+        // No read-ahead while executing: further steps idle.
+        assert_eq!(h.step(&mut conn, 0), Step::Idle);
+        assert!(!conn.awaiting_request());
+
+        conn.complete(b"answer\n".to_vec());
+        assert!(!conn.awaiting_request(), "the answer is still unwritten");
+        assert_eq!(h.step(&mut conn, 0), Step::Progress);
+        assert_eq!(conn.stream.accepted, b"answer\n");
+        assert!(conn.awaiting_request());
+        h.executor.stop();
     }
 }

@@ -6,12 +6,17 @@
 //! ones with a typed `busy` line), then [`Conn::step`] each
 //! connection. The workspace forbids `unsafe`, so there is no
 //! `poll(2)` FFI — readiness is discovered by `WouldBlock`-aware
-//! scans, and the sweep parks on a condvar between ticks. The park is
-//! cut short the instant a completion lands (the executor notifies
-//! the condvar), so a sequential request/response round trip never
-//! waits out a full tick on the compute side; the tick itself adapts
-//! to the connection count (finer when few, coarser when thousands)
-//! to bound both idle wakeups and per-byte latency.
+//! scans, and a sweep that finds nothing parks on a condvar. The park
+//! is cut short the instant a completion lands (the executor notifies
+//! the condvar), so a request/response round trip never waits out a
+//! full tick on the compute side. On the request side the tick follows
+//! recent activity ([`park_tick`]): for a short hot window after a
+//! sweep that made progress, while some connection waits for its
+//! peer's next request, the park is a fine [`HOT_TICK`], because a
+//! request/response client sends its next line right after reading an
+//! answer. Once the window passes, or when every connection is
+//! executing, the park falls back to [`tick_for`] the connection
+//! count, bounding idle wakeups.
 //!
 //! Compute never runs on the reactor thread beyond parsing: work ops
 //! (`load`/`query`/`batch`/`update`) have their admission slot
@@ -34,7 +39,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::conn::{Conn, Step};
+use crate::conn::{Conn, Step, READ_CHUNK};
 use crate::proto::{code, ProtoError, Request};
 use crate::server::{respond_admitted, AdmitSlot, Listener, Shared, Stream};
 
@@ -153,7 +158,7 @@ impl Executor {
 
     /// Stops and joins every worker (the job queue is empty by the
     /// time the reactor calls this — shutdown drained all work).
-    fn stop(self) {
+    pub(crate) fn stop(self) {
         {
             if let Ok(mut q) = self.inner.jobs.lock() {
                 q.stop = true;
@@ -203,21 +208,57 @@ fn worker(shared: Arc<Shared>, inner: Arc<ExecInner>) {
                 done.push(Completion { token, bytes });
             }
         }
-        inner.done_cv.notify_all();
+        // The reactor's `park` is the only waiter on `done_cv`.
+        inner.done_cv.notify_one();
     }
 }
 
-/// The adaptive park interval: fine-grained when few connections (a
-/// sequential client's next request is noticed within ~1 ms), coarser
-/// as the ready-set scan itself gets more expensive, bounding idle
-/// rescans of thousands of sockets.
+/// How long after a sweep that made progress the reactor keeps
+/// parking for [`HOT_TICK`] while a connection waits for a request:
+/// long enough for a request/response client to read an answer, think
+/// briefly and send its next line.
+const HOT_WINDOW: Duration = Duration::from_millis(3);
+
+/// The park inside the hot window: a request that arrives there is
+/// noticed within about this long instead of a full [`tick_for`].
+const HOT_TICK: Duration = Duration::from_micros(50);
+
+/// The largest connection count [`tick_for`]'s finest tier covers,
+/// and the only one where [`park_tick`] may park hot.
+const FINE_TIER: usize = 128;
+
+/// The cold park interval by connection count: 1 ms up to
+/// [`FINE_TIER`] connections, 5 ms up to 1024, 10 ms above, so idle
+/// rescans of thousands of sockets stay bounded. Above the first tier
+/// the reactor always parks this long; within it, [`park_tick`] uses
+/// it once the hot window has passed.
 fn tick_for(connections: usize) -> Duration {
-    if connections <= 128 {
+    if connections <= FINE_TIER {
         Duration::from_millis(1)
     } else if connections <= 1024 {
         Duration::from_millis(5)
     } else {
         Duration::from_millis(10)
+    }
+}
+
+/// The park after a sweep that found nothing to do. `awaiting` is how
+/// many of the `connections` wait for their peer's next request (the
+/// sweep counts them as it steps each one), and `nanos_since_active`
+/// is the injected clock's time since the last sweep that made
+/// progress. Within [`HOT_WINDOW`] of activity, up to [`FINE_TIER`]
+/// connections, a waiting connection makes the park a fine
+/// [`HOT_TICK`]; otherwise it is [`tick_for`]. With no connection
+/// waiting, every one is executing or draining, and a completion wakes
+/// the park early anyway.
+fn park_tick(connections: usize, awaiting: usize, nanos_since_active: u64) -> Duration {
+    let hot = awaiting > 0
+        && connections <= FINE_TIER
+        && u128::from(nanos_since_active) < HOT_WINDOW.as_nanos();
+    if hot {
+        HOT_TICK
+    } else {
+        tick_for(connections)
     }
 }
 
@@ -245,6 +286,8 @@ pub(crate) fn run(
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_token: u64 = 0;
     let mut closed: Vec<u64> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut last_active = shared.clock.now_nanos();
     loop {
         let mut progress = false;
 
@@ -291,14 +334,19 @@ pub(crate) fn run(
 
         // 3. Sweep the ready set.
         closed.clear();
+        let mut awaiting = 0;
         for (token, conn) in conns.iter_mut() {
-            match conn.step(*token, shared, &mut executor) {
+            match conn.step(*token, shared, &mut executor, &mut scratch) {
                 Step::Progress => progress = true,
                 Step::Idle => {}
                 Step::Closed => {
                     progress = true;
                     closed.push(*token);
+                    continue;
                 }
+            }
+            if conn.awaiting_request() {
+                awaiting += 1;
             }
         }
         for token in &closed {
@@ -311,10 +359,59 @@ pub(crate) fn run(
         }
 
         // 5. Park until a completion lands or the tick elapses.
-        if !progress {
-            executor.park(tick_for(conns.len()));
+        let now = shared.clock.now_nanos();
+        if progress {
+            last_active = now;
+        } else {
+            let since = now.saturating_sub(last_active);
+            executor.park(park_tick(conns.len(), awaiting, since));
         }
     }
     executor.stop();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use utk_core::obs::{Clock, TestClock};
+
+    fn nanos(d: Duration) -> u64 {
+        u64::try_from(d.as_nanos()).expect("a test duration fits in u64")
+    }
+
+    #[test]
+    fn hot_inside_the_window_with_a_waiting_connection() {
+        let clock = TestClock::new();
+        let active = clock.now_nanos();
+        assert_eq!(park_tick(1, 1, clock.now_nanos() - active), HOT_TICK);
+        clock.advance(nanos(HOT_WINDOW) - 1);
+        assert_eq!(park_tick(128, 1, clock.now_nanos() - active), HOT_TICK);
+    }
+
+    #[test]
+    fn cold_once_the_window_has_passed() {
+        let clock = TestClock::new();
+        let active = clock.now_nanos();
+        clock.advance(nanos(HOT_WINDOW));
+        let since = clock.now_nanos() - active;
+        assert_eq!(park_tick(1, 1, since), Duration::from_millis(1));
+        assert_eq!(park_tick(128, 128, since), Duration::from_millis(1));
+    }
+
+    #[test]
+    fn cold_when_every_connection_is_executing() {
+        // No connection waits for a request: a completion wakes the
+        // park early, so the window does not matter.
+        assert_eq!(park_tick(1, 0, 0), Duration::from_millis(1));
+        assert_eq!(park_tick(128, 0, 0), Duration::from_millis(1));
+    }
+
+    #[test]
+    fn coarser_tiers_are_unchanged_inside_the_window() {
+        assert_eq!(park_tick(129, 129, 0), Duration::from_millis(5));
+        assert_eq!(park_tick(1024, 1, 0), Duration::from_millis(5));
+        assert_eq!(park_tick(1025, 1, 0), Duration::from_millis(10));
+        assert_eq!(park_tick(4096, 4096, 0), Duration::from_millis(10));
+    }
 }

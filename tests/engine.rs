@@ -411,6 +411,48 @@ fn run_many_groups_amortize_the_filter() {
 }
 
 #[test]
+fn run_many_answers_like_the_sequential_loop_stat_for_stat() {
+    // Which queries hit the cache, reuse a superset or see which cache
+    // size depends on the order of cache accesses. A batch must fix
+    // that order to its input order, whatever the pool's schedule.
+    let ds = generate(Distribution::Ind, 400, 3, 5);
+    let outer = Region::hyperrect(vec![0.05, 0.05], vec![0.45, 0.35]);
+    let inner = Region::hyperrect(vec![0.15, 0.1], vec![0.35, 0.25]);
+    let apart = Region::hyperrect(vec![0.5, 0.1], vec![0.6, 0.2]);
+    let queries = vec![
+        UtkQuery::utk1(3).region(outer.clone()),
+        UtkQuery::topk(3).weights(vec![0.3, 0.5, 0.2]),
+        UtkQuery::utk2(3).region(outer).parallel(true),
+        UtkQuery::utk1(3).region(apart.clone()),
+        UtkQuery::utk2(3).region(inner.clone()),
+        UtkQuery::utk1(0).region(inner.clone()),
+        UtkQuery::utk1(3).region(inner),
+        UtkQuery::utk2(3).region(apart),
+    ];
+    let normalized = |r: &Result<QueryResult, UtkError>| match r {
+        Ok(r) => {
+            let mut stats = r.stats().clone();
+            // Off the wire and schedule-dependent by nature.
+            stats.timings = Default::default();
+            stats.stolen_tasks = 0;
+            stats.batch_group_count = 0;
+            format!("{:?} {stats:?}", r.records())
+        }
+        Err(e) => format!("{e:?}"),
+    };
+    let sequential = UtkEngine::new(ds.points.clone()).unwrap();
+    let expected: Vec<String> = queries
+        .iter()
+        .map(|q| normalized(&sequential.run(q)))
+        .collect();
+    for round in 0..16 {
+        let engine = UtkEngine::new(ds.points.clone()).unwrap();
+        let got: Vec<String> = engine.run_many(&queries).iter().map(normalized).collect();
+        assert_eq!(got, expected, "round {round}");
+    }
+}
+
+#[test]
 fn run_many_of_empty_and_single_batches() {
     let engine = UtkEngine::new(figure1_hotels().points).unwrap();
     assert!(engine.run_many(&[]).is_empty());
